@@ -6,6 +6,7 @@ use ses_isa::{decode, Instruction, Opcode, Program, INSTR_BYTES};
 use ses_types::{Addr, SesError};
 
 use crate::memory::DataMemory;
+use crate::replay::{CheckpointRecorder, CheckpointedReplay, GoldenCheckpoints, ReplayVerdict};
 use crate::state::ArchState;
 use crate::trace::{DynInstr, ExecutionTrace};
 
@@ -44,10 +45,10 @@ struct StepEffect {
 /// values can be compared against the original records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineSnapshot {
-    state: ArchState,
-    mem: DataMemory,
-    depth: u32,
-    index: u64,
+    pub(crate) state: ArchState,
+    pub(crate) mem: DataMemory,
+    pub(crate) depth: u32,
+    pub(crate) index: u64,
 }
 
 impl MachineSnapshot {
@@ -111,10 +112,39 @@ impl<'p> Emulator<'p> {
     /// Returns [`SesError::EmulationFault`] if control leaves the program
     /// image — for a *golden* (uncorrupted) run this indicates a broken
     /// program, so it is an error rather than an outcome.
-    pub fn run(mut self, max_instrs: u64) -> Result<ExecutionTrace, SesError> {
+    pub fn run(self, max_instrs: u64) -> Result<ExecutionTrace, SesError> {
+        self.run_observed(max_instrs, |_| {})
+    }
+
+    /// Runs the program to `halt` like [`run`](Self::run), capturing the
+    /// [`GoldenCheckpoints`] that
+    /// [`replay_checkpointed`](Self::replay_checkpointed) resumes from in
+    /// the same pass.
+    ///
+    /// # Errors
+    ///
+    /// As for [`run`](Self::run).
+    pub fn run_checkpointed(
+        self,
+        max_instrs: u64,
+    ) -> Result<(ExecutionTrace, GoldenCheckpoints), SesError> {
+        let mut recorder = CheckpointRecorder::new();
+        let trace = self.run_observed(max_instrs, |emu| recorder.observe(emu))?;
+        let checkpoints = recorder.finish(trace.output());
+        Ok((trace, checkpoints))
+    }
+
+    /// The golden pass: `observe` sees the machine before every
+    /// instruction executes.
+    fn run_observed(
+        mut self,
+        max_instrs: u64,
+        mut observe: impl FnMut(&Self),
+    ) -> Result<ExecutionTrace, SesError> {
         let mut entries = Vec::new();
         let mut halted = false;
         while (entries.len() as u64) < max_instrs {
+            observe(&self);
             let pc = self.state.pc();
             let instr = *self.program.instr_at(pc).ok_or_else(|| {
                 SesError::EmulationFault(format!("fetch outside program image at {pc}"))
@@ -147,8 +177,9 @@ impl<'p> Emulator<'p> {
 
     /// Like [`run_with_overrides`](Self::run_with_overrides) but for the
     /// common case of exactly one corrupted word, avoiding the `HashMap`
-    /// allocation and hashing on every dynamic instruction. This is the
-    /// hot path of the fault-injection replay classifier.
+    /// allocation and hashing on every dynamic instruction. Runs from
+    /// instruction 0: this is the oracle that
+    /// [`replay_checkpointed`](Self::replay_checkpointed) must agree with.
     pub fn run_with_override(self, trace_idx: u64, word: u64, max_instrs: u64) -> RunOutcome {
         self.run_overridden(|idx| (idx == trace_idx).then_some(word), max_instrs)
     }
@@ -186,6 +217,105 @@ impl<'p> Emulator<'p> {
             steps += 1;
         }
         RunOutcome::TimedOut
+    }
+
+    /// Replays `program` with `word` substituted at dynamic index
+    /// `trace_idx`, resuming from the latest golden checkpoint at or before
+    /// it and stopping at the first later checkpoint where the machine —
+    /// registers, predicates, PC, call depth, data memory, and the output
+    /// emitted since the resume point — equals the golden one. A replay
+    /// that never converges runs to halt, crash, or the budget, which is
+    /// counted by dynamic index exactly as in
+    /// [`run_with_override`](Self::run_with_override) from instruction 0;
+    /// the verdict always equals that oracle's ([`ReplayVerdict::of`]).
+    pub fn replay_checkpointed(
+        program: &'p Program,
+        golden: &GoldenCheckpoints,
+        trace_idx: u64,
+        word: u64,
+        max_instrs: u64,
+    ) -> CheckpointedReplay {
+        let points = golden.points();
+        let start = points
+            .partition_point(|c| c.snap.index <= trace_idx)
+            .checked_sub(1);
+        let (mut emu, out_base) = match start {
+            Some(i) => (
+                Emulator::from_snapshot(program, points[i].snap.clone()),
+                points[i].out_len,
+            ),
+            None => (Emulator::new(program), 0),
+        };
+        let resumed_at = emu.index;
+        let finish = |emu: &Emulator<'_>, verdict| CheckpointedReplay {
+            verdict,
+            resumed_at,
+            executed: emu.index - resumed_at,
+        };
+        let golden_suffix = &golden.output()[out_base..];
+        let later = start.map_or(points, |i| &points[i + 1..]);
+        for c in later {
+            let until = c.snap.index.min(max_instrs);
+            if let Some(verdict) = emu.advance(until, trace_idx, word, golden_suffix) {
+                return finish(&emu, verdict);
+            }
+            if emu.index >= max_instrs {
+                return finish(&emu, ReplayVerdict::TimedOut);
+            }
+            if emu.equals_golden(&c.snap, &golden.output()[out_base..c.out_len]) {
+                return finish(&emu, ReplayVerdict::Identical);
+            }
+        }
+        let verdict = emu
+            .advance(max_instrs, trace_idx, word, golden_suffix)
+            .unwrap_or(ReplayVerdict::TimedOut);
+        finish(&emu, verdict)
+    }
+
+    /// Executes (with the override) until the dynamic index reaches
+    /// `until`, returning the verdict if the run ends first: a halt is
+    /// judged by the output emitted since the resume point against
+    /// `golden_suffix`; a wild fetch or an undecodable override crashes.
+    fn advance(
+        &mut self,
+        until: u64,
+        trace_idx: u64,
+        word: u64,
+        golden_suffix: &[u64],
+    ) -> Option<ReplayVerdict> {
+        while self.index < until {
+            let pc = self.state.pc();
+            let Some(&original) = self.program.instr_at(pc) else {
+                return Some(ReplayVerdict::Crashed);
+            };
+            let instr = if self.index == trace_idx {
+                match decode(word) {
+                    Ok(i) => i,
+                    Err(_) => return Some(ReplayVerdict::Crashed),
+                }
+            } else {
+                original
+            };
+            if self.exec_one(instr, pc).halt {
+                return Some(if self.output == golden_suffix {
+                    ReplayVerdict::Identical
+                } else {
+                    ReplayVerdict::Different
+                });
+            }
+        }
+        None
+    }
+
+    /// Whether this machine equals the golden checkpoint `snap` and has
+    /// emitted exactly `golden_since` since its resume point. Cheap
+    /// components first; the data memory is compared last.
+    fn equals_golden(&self, snap: &MachineSnapshot, golden_since: &[u64]) -> bool {
+        self.index == snap.index
+            && self.state == snap.state
+            && self.depth == snap.depth
+            && self.output == golden_since
+            && self.mem == snap.mem
     }
 
     /// Captures the current architectural state as a [`MachineSnapshot`].
@@ -228,6 +358,11 @@ impl<'p> Emulator<'p> {
         })?;
         let effect = self.exec_one(instr, pc);
         Ok((effect.record, effect.halt))
+    }
+
+    /// The dynamic-instruction index of the next instruction.
+    pub(crate) fn index(&self) -> u64 {
+        self.index
     }
 
     /// Output emitted so far (for streaming consumers).

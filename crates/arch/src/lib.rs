@@ -13,9 +13,12 @@
 //!   SDC only if this stream changes.
 //!
 //! The fault-injection engine re-runs the emulator with a corrupted
-//! instruction word substituted at one dynamic position
-//! ([`Emulator::run_with_overrides`]) and compares output streams against
-//! the golden run.
+//! instruction word substituted at one dynamic position and compares
+//! output streams against the golden run. [`Emulator::run_checkpointed`]
+//! captures [`GoldenCheckpoints`] during the golden run, and
+//! [`Emulator::replay_checkpointed`] resumes each such replay from the
+//! nearest one and stops it as soon as the machine rejoins the golden
+//! run; the from-zero [`Emulator::run_with_override`] is its oracle.
 //!
 //! # Example
 //!
@@ -40,6 +43,7 @@
 
 mod emu;
 mod memory;
+mod replay;
 mod state;
 mod stepper;
 mod trace;
@@ -47,5 +51,6 @@ mod trace;
 pub use emu::{Emulator, MachineSnapshot, RunOutcome};
 pub use stepper::Stepper;
 pub use memory::DataMemory;
+pub use replay::{CheckpointedReplay, GoldenCheckpoints, ReplayVerdict};
 pub use state::ArchState;
 pub use trace::{DynInstr, ExecutionTrace, TraceStats};

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ses_arch::{Emulator, ExecutionTrace, RunOutcome};
+use ses_arch::{Emulator, ExecutionTrace, GoldenCheckpoints, ReplayVerdict};
 use ses_isa::{bit_kind, encode, BitKind, Program};
 use ses_pipeline::{
     DetectionModel, EccReadOutcome, FaultOutcome, FaultSpec, Occupant, Pipeline, PipelineConfig,
@@ -110,21 +110,9 @@ impl Default for CampaignConfig {
     }
 }
 
-/// How a corrupted functional replay compared against the golden output.
-/// A corrupted word equal to the golden word short-circuits to
-/// `Identical` without emulating (the fast path); everything else runs
-/// the functional emulator. The former `(trace position, corrupted
-/// word)` replay cache is gone: first strikes always differ from the
-/// golden word by construction, so its hit rate was exactly zero — the
-/// pruned executor's [`VerdictMemo`] is the memoization layer that
-/// actually hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Replay {
-    Identical,
-    Different,
-    Crashed,
-    Hang,
-}
+/// Release builds re-check one in `REPLAY_AUDIT_RATE` functional replays
+/// against the from-zero oracle; debug builds check every one.
+const REPLAY_AUDIT_RATE: u64 = 64;
 
 const MEMO_SHARDS: usize = 16;
 
@@ -248,6 +236,9 @@ pub struct Campaign {
     /// canonical interval representation), kept for the adaptive
     /// sampler's lifetime and occupancy stratification.
     lifetime_spans: Vec<ses_avf::LifetimeSpan>,
+    /// Golden architectural checkpoints captured during the golden
+    /// emulation; functional replays resume from them.
+    replay_points: GoldenCheckpoints,
     pipeline: Pipeline,
     snapshots: Vec<Snapshot>,
     checkpoint_interval: u64,
@@ -294,7 +285,7 @@ impl Campaign {
         config: CampaignConfig,
     ) -> Result<Self, SesError> {
         let start = Instant::now();
-        let golden = Emulator::new(&program).run(max_instrs)?;
+        let (golden, replay_points) = Emulator::new(&program).run_checkpointed(max_instrs)?;
         if !golden.halted() {
             return Err(SesError::BudgetExceeded {
                 resource: "instructions",
@@ -367,6 +358,7 @@ impl Campaign {
             program,
             golden,
             golden_words,
+            replay_points,
             pipeline,
             snapshots,
             checkpoint_interval,
@@ -1017,9 +1009,9 @@ impl Campaign {
                 Occupant::WrongPath => Outcome::Benign,
                 Occupant::CorrectPath { trace_idx } => {
                     match self.replay(trace_idx, corruption.corrupted_word) {
-                        Replay::Identical => Outcome::Benign,
-                        Replay::Different | Replay::Crashed => Outcome::Sdc,
-                        Replay::Hang => Outcome::Hang,
+                        ReplayVerdict::Identical => Outcome::Benign,
+                        ReplayVerdict::Different | ReplayVerdict::Crashed => Outcome::Sdc,
+                        ReplayVerdict::TimedOut => Outcome::Hang,
                     }
                 }
             },
@@ -1037,8 +1029,8 @@ impl Campaign {
                     Occupant::WrongPath => Outcome::FalseDue,
                     Occupant::CorrectPath { trace_idx } => {
                         match self.replay(trace_idx, corruption.corrupted_word) {
-                            Replay::Identical => Outcome::FalseDue,
-                            Replay::Different | Replay::Crashed | Replay::Hang => Outcome::TrueDue,
+                            ReplayVerdict::Identical => Outcome::FalseDue,
+                            _ => Outcome::TrueDue,
                         }
                     }
                 }
@@ -1052,10 +1044,8 @@ impl Campaign {
                 (_, Occupant::WrongPath) => Outcome::SuppressedSafe,
                 (_, Occupant::CorrectPath { trace_idx }) => {
                     match self.replay(trace_idx, corruption.corrupted_word) {
-                        Replay::Identical => Outcome::SuppressedSafe,
-                        Replay::Different | Replay::Crashed | Replay::Hang => {
-                            Outcome::SuppressedSdc
-                        }
+                        ReplayVerdict::Identical => Outcome::SuppressedSafe,
+                        _ => Outcome::SuppressedSdc,
                     }
                 }
             },
@@ -1065,39 +1055,67 @@ impl Campaign {
     /// Re-runs the functional emulator with the corrupted word substituted
     /// at the given dynamic position and compares outputs. A corrupted
     /// word equal to the golden word short-circuits to `Identical`
-    /// without emulating at all.
-    fn replay(&self, trace_idx: u64, corrupted_word: u64) -> Replay {
+    /// without emulating at all; every other replay resumes from the
+    /// nearest golden architectural checkpoint and stops once the machine
+    /// rejoins the golden run ([`Emulator::replay_checkpointed`]).
+    fn replay(&self, trace_idx: u64, corrupted_word: u64) -> ReplayVerdict {
         self.counters.replays.fetch_add(1, Ordering::Relaxed);
         if self.golden_words.get(trace_idx as usize) == Some(&corrupted_word) {
             self.counters.replay_fast_path.fetch_add(1, Ordering::Relaxed);
-            return Replay::Identical;
+            return ReplayVerdict::Identical;
         }
-        match Emulator::new(&self.program).run_with_override(
+        let verdict = Emulator::replay_checkpointed(
+            &self.program,
+            &self.replay_points,
             trace_idx,
             corrupted_word,
             self.replay_budget,
-        ) {
-            RunOutcome::Completed { output } => {
-                if output == self.golden.output() {
-                    Replay::Identical
-                } else {
-                    Replay::Different
-                }
-            }
-            RunOutcome::Crashed { .. } => Replay::Crashed,
-            RunOutcome::TimedOut => Replay::Hang,
+        )
+        .verdict;
+        if cfg!(debug_assertions) || replay_audited(trace_idx, corrupted_word) {
+            self.audit_replay(trace_idx, corrupted_word, verdict);
         }
+        verdict
+    }
+
+    /// The checkpointed replay's oracle: the same replay from instruction
+    /// 0. A mismatch panics, so a CLI run fails closed and a served job
+    /// answers 500 instead of a wrong verdict.
+    fn audit_replay(&self, trace_idx: u64, corrupted_word: u64, got: ReplayVerdict) {
+        let outcome = Emulator::new(&self.program).run_with_override(
+            trace_idx,
+            corrupted_word,
+            self.replay_budget,
+        );
+        let want = ReplayVerdict::of(&outcome, self.golden.output());
+        assert!(
+            want == got,
+            "checkpointed replay of word {corrupted_word:#018x} at index {trace_idx} \
+             returned {got:?}, the from-zero replay {want:?}"
+        );
     }
 }
 
+/// Whether a release build audits the replay of `word` at `trace_idx`: a
+/// deterministic one-in-[`REPLAY_AUDIT_RATE`] subset keyed by the replay
+/// itself, so the audited set does not depend on thread count or order.
+fn replay_audited(trace_idx: u64, word: u64) -> bool {
+    mix64(trace_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ word).is_multiple_of(REPLAY_AUDIT_RATE)
+}
+
 /// Mixes the campaign seed with one fault's strike coordinates into the
-/// latency-sampling seed (a splitmix64-style finalizer, so neighbouring
-/// coordinates get decorrelated latencies).
+/// latency-sampling seed, so neighbouring coordinates get decorrelated
+/// latencies.
 fn latency_seed(seed: u64, fault: &FaultSpec) -> u64 {
-    let mut x = seed
-        ^ fault.cycle.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (fault.slot as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-        ^ u64::from(fault.bit).wrapping_mul(0x1656_67B1_9E37_79F9);
+    mix64(
+        seed ^ fault.cycle.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (fault.slot as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+            ^ u64::from(fault.bit).wrapping_mul(0x1656_67B1_9E37_79F9),
+    )
+}
+
+/// The splitmix64 finalizer.
+fn mix64(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -1628,6 +1646,41 @@ mod tests {
         .run();
         let ckpt = Campaign::prepare(&spec, base).unwrap().run();
         assert_eq!(scratch, ckpt);
+    }
+
+    #[test]
+    fn corrupted_golden_checkpoint_trips_the_replay_audit() {
+        let spec = WorkloadSpec::quick("replay-audit", 21);
+        let config = CampaignConfig {
+            injections: 0,
+            threads: 1,
+            ..CampaignConfig::default()
+        };
+        let mut c = Campaign::prepare(&spec, config).unwrap();
+        let points: Vec<u64> = c.replay_points.indices().collect();
+        let j = points.len() / 2;
+        // A replay resuming from checkpoint `j` that release builds audit
+        // too, and whose honest verdict is not the crash the defect forces.
+        let (idx, word) = (points[j]..points[j + 1])
+            .flat_map(|idx| (0..64).map(move |bit| (idx, bit)))
+            .map(|(idx, bit)| (idx, c.golden_words[idx as usize] ^ (1 << bit)))
+            .find(|&(idx, word)| {
+                replay_audited(idx, word) && c.replay(idx, word) != ReplayVerdict::Crashed
+            })
+            .expect("some audited flip in the window replays without crashing");
+        c.replay_points
+            .tamper_state(j, |s| s.set_pc(ses_types::Addr::new(0)));
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.replay(idx, word)));
+        assert!(caught.is_err(), "the audit must reject the corrupted checkpoint");
+    }
+
+    #[test]
+    fn release_audit_samples_one_replay_in_sixty_four() {
+        let audited = (0..64 * 1024u64)
+            .filter(|&i| replay_audited(i / 64, 0x0123_4567_89AB_CDEF ^ (1 << (i % 64))))
+            .count();
+        assert!((800..1250).contains(&audited), "{audited} of 65536 audited");
     }
 
     #[test]

@@ -474,7 +474,9 @@ impl<'a> Engine<'a> {
             }
             if self.fingerprints.is_some() {
                 let fp = self.overlay_fingerprint();
-                self.fingerprints.as_mut().expect("checked above").push(fp);
+                if let Some(fps) = self.fingerprints.as_mut() {
+                    fps.push(fp);
+                }
             }
             if interval > 0 && now.as_u64().is_multiple_of(interval) {
                 snapshots.push(self.capture(now));

@@ -558,7 +558,7 @@ mod tests {
     fn synthetic(c: &FaultCoord) -> bool {
         let busy = (20..40).contains(&c.cycle);
         let control = c.bit < 16;
-        busy && control && (c.cycle ^ c.slot as u64 ^ u64::from(c.bit)) % 3 != 0
+        busy && control && !(c.cycle ^ c.slot as u64 ^ u64::from(c.bit)).is_multiple_of(3)
     }
 
     #[test]

@@ -124,12 +124,15 @@ impl Server {
                     }
                     let Ok(stream) = conn else { continue };
                     let n = acceptor_shared.queues.len();
+                    // Count the connection before queueing it: a worker
+                    // that pops it first would otherwise decrement
+                    // `pending` below zero.
+                    *acceptor_shared.pending.lock().unwrap() += 1;
                     acceptor_shared.queues[next % n]
                         .lock()
                         .unwrap()
                         .push_back(stream);
                     next = next.wrapping_add(1);
-                    *acceptor_shared.pending.lock().unwrap() += 1;
                     acceptor_shared.wake.notify_one();
                 }
             })?;

@@ -43,7 +43,7 @@ fn fuzzed_corpus_verdicts_match_full_replay() {
             let base = CampaignConfig {
                 injections: 40,
                 seed: *seed ^ (m as u64) << 8,
-                detection: detection.clone(),
+                detection: *detection,
                 double_bit: *double_bit,
                 threads: 2,
                 ..CampaignConfig::default()
